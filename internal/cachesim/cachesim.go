@@ -99,6 +99,7 @@ type level struct {
 	sets      [][]way // sets[set][way]; position 0 is MRU
 	setShift  uint
 	setMask   uint32
+	tagShift  uint     // setShift plus the set-index bits
 	mshrFree  []uint64 // earliest cycle each MSHR slot is free
 	writeback bool
 }
@@ -117,24 +118,22 @@ func newLevel(size, assoc, line, mshrs int, writeback bool) *level {
 	for i := range l.sets {
 		l.sets[i] = make([]way, assoc)
 	}
-	for s := line; s > 1; s >>= 1 {
-		l.setShift++
-	}
+	l.setShift = log2(line)
+	l.tagShift = l.setShift + log2(nSets)
 	return l
 }
 
-func (l *level) set(addr uint32) []way { return l.sets[(addr>>l.setShift)&l.setMask] }
-func (l *level) tag(addr uint32) uint32 {
-	return addr >> l.setShift >> uint(setBits(len(l.sets)))
-}
-
-func setBits(n int) int {
-	b := 0
+// log2 returns floor(log2(n)) for n >= 1.
+func log2(n int) uint {
+	b := uint(0)
 	for s := n; s > 1; s >>= 1 {
 		b++
 	}
 	return b
 }
+
+func (l *level) set(addr uint32) []way  { return l.sets[(addr>>l.setShift)&l.setMask] }
+func (l *level) tag(addr uint32) uint32 { return addr >> l.tagShift }
 
 // lookup probes the level. On a hit the line is moved to MRU.
 func (l *level) lookup(addr uint32) bool {
@@ -213,6 +212,7 @@ const (
 )
 
 type request struct {
+	id      int // 0 while the slot is free
 	addr    uint32
 	state   reqState
 	start   uint64 // issue cycle (latency accounting)
@@ -228,10 +228,21 @@ type Cache struct {
 	l1, l2    *level
 	busFreeAt uint64
 
-	reqs   map[int]*request
-	nextID int
-	stats  Stats
+	// reqs is the in-flight load table; free lists its unused slots. A
+	// request id packs the slot into its low reqSlotBits and a sequence
+	// number above them. Sequence numbers never repeat (a 64-bit id holds
+	// 2^43 of them), so the id of a completed or cancelled load stays
+	// unknown after its slot is reused.
+	reqs    []request
+	free    []int32
+	nextSeq int
+	stats   Stats
 }
+
+const (
+	reqSlotBits = 20
+	reqSlotMask = 1<<reqSlotBits - 1
+)
 
 // New builds a hierarchy from cfg (zero fields take defaults).
 func New(cfg Config) *Cache {
@@ -243,12 +254,26 @@ func New(cfg Config) *Cache {
 		cfg.MSHRs = d.MSHRs
 	}
 	return &Cache{
-		cfg:    cfg,
-		l1:     newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line, cfg.MSHRs, false),
-		l2:     newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line, cfg.MSHRs, true),
-		reqs:   make(map[int]*request),
-		nextID: 1,
+		cfg:     cfg,
+		l1:      newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line, cfg.MSHRs, false),
+		l2:      newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line, cfg.MSHRs, true),
+		nextSeq: 1, // no id is 0, which marks a free slot
 	}
+}
+
+// req returns the live request with the given id, or nil.
+func (c *Cache) req(id int) *request {
+	slot := id & reqSlotMask
+	if id <= 0 || slot >= len(c.reqs) || c.reqs[slot].id != id {
+		return nil
+	}
+	return &c.reqs[slot]
+}
+
+// release frees a live request's slot.
+func (c *Cache) release(r *request) {
+	c.free = append(c.free, int32(r.id&reqSlotMask))
+	r.id = 0
 }
 
 // Config returns the active configuration.
@@ -258,10 +283,21 @@ func (c *Cache) Config() Config { return c.cfg }
 // plus the first interval, in cycles, before the data could be available.
 func (c *Cache) LoadRequest(addr uint32, now uint64) (id int, delay int) {
 	c.stats.Loads++
-	id = c.nextID
-	c.nextID++
-	r := &request{addr: addr, start: now}
-	c.reqs[id] = r
+	var slot int
+	if n := len(c.free); n > 0 {
+		slot = int(c.free[n-1])
+		c.free = c.free[:n-1]
+	} else {
+		slot = len(c.reqs)
+		if slot > reqSlotMask {
+			panic(fmt.Sprintf("cachesim: more than %d loads in flight", reqSlotMask+1))
+		}
+		c.reqs = append(c.reqs, request{})
+	}
+	id = c.nextSeq<<reqSlotBits | slot
+	c.nextSeq++
+	r := &c.reqs[slot]
+	*r = request{id: id, addr: addr, start: now}
 
 	if c.l1.lookup(addr) {
 		c.stats.L1Hits++
@@ -282,8 +318,8 @@ func (c *Cache) LoadRequest(addr uint32, now uint64) (id int, delay int) {
 // the data is available (the request is then complete and the id invalid),
 // or ready=false and a further interval to wait.
 func (c *Cache) LoadPoll(id int, now uint64) (ready bool, delay int) {
-	r, ok := c.reqs[id]
-	if !ok {
+	r := c.req(id)
+	if r == nil {
 		panic(fmt.Sprintf("cachesim: poll of unknown request %d", id))
 	}
 	if now < r.readyAt {
@@ -295,7 +331,7 @@ func (c *Cache) LoadPoll(id int, now uint64) (ready bool, delay int) {
 			c.finishFill(r)
 		}
 		c.stats.LoadLatency.Add(r.readyAt - r.start)
-		delete(c.reqs, id)
+		c.release(r)
 		return true, 0
 	case stL2Check:
 		if c.l2.lookup(r.addr) {
@@ -325,7 +361,7 @@ func (c *Cache) LoadPoll(id int, now uint64) (ready bool, delay int) {
 	case stMemWait:
 		c.finishFill(r)
 		c.stats.LoadLatency.Add(r.readyAt - r.start)
-		delete(c.reqs, id)
+		c.release(r)
 		return true, 0
 	}
 	panic("cachesim: bad request state")
@@ -346,14 +382,14 @@ func (c *Cache) finishFill(r *request) {
 // state changes already caused by the access (tag movement, bus and MSHR
 // reservations) remain, modelling real wrong-path cache pollution.
 func (c *Cache) Cancel(id int) {
-	if _, ok := c.reqs[id]; ok {
+	if r := c.req(id); r != nil {
 		c.stats.Cancels++
-		delete(c.reqs, id)
+		c.release(r)
 	}
 }
 
 // Outstanding returns the number of in-flight load requests.
-func (c *Cache) Outstanding() int { return len(c.reqs) }
+func (c *Cache) Outstanding() int { return len(c.reqs) - len(c.free) }
 
 // Store performs a store at cycle now. The L1 is write-through
 // (no-write-allocate), so every store also reaches the L2; L2 write misses

@@ -190,16 +190,87 @@ func TestCancel(t *testing.T) {
 	if c.Stats().Cancels != 1 {
 		t.Error("double cancel counted")
 	}
+
+	// Ids are never reused: once a finished load's slot holds a new
+	// request, cancelling the old id must leave the new one alone.
+	for _, cancel := range []bool{false, true} {
+		c := New(DefaultConfig())
+		stale, reused := finishedID(t, c, cancel)
+		cancels := c.Stats().Cancels
+		c.Cancel(stale)
+		if c.Outstanding() != 1 || c.Stats().Cancels != cancels {
+			t.Errorf("cancel=%v: stale Cancel touched the live load: outstanding %d, cancels %d -> %d",
+				cancel, c.Outstanding(), cancels, c.Stats().Cancels)
+		}
+		c.Cancel(reused)
+		if c.Outstanding() != 0 || c.Stats().Cancels != cancels+1 {
+			t.Errorf("cancel=%v: live load not cancellable after stale Cancel", cancel)
+		}
+	}
+
+	// Outstanding counts live requests only: not completed or cancelled
+	// ones, and a reused slot once.
+	c = New(DefaultConfig())
+	complete(t, c, 0x9000, 0)
+	a, _ := c.LoadRequest(0xa000, 500)
+	b, _ := c.LoadRequest(0xb000, 500)
+	c.LoadRequest(0xc000, 500)
+	c.Cancel(a)
+	if c.Outstanding() != 2 {
+		t.Errorf("outstanding = %d, want 2", c.Outstanding())
+	}
+	c.Cancel(b)
+	c.LoadRequest(0xd000, 600)
+	if c.Outstanding() != 2 {
+		t.Errorf("outstanding after slot reuse = %d, want 2", c.Outstanding())
+	}
+}
+
+// finishedID issues a load and completes it (or cancels it), then issues
+// another load that takes over the same slot. It returns both ids.
+func finishedID(t *testing.T, c *Cache, cancel bool) (stale, reused int) {
+	t.Helper()
+	stale, d := c.LoadRequest(0x7000, 0)
+	if cancel {
+		c.Cancel(stale)
+	} else {
+		for at, ready := uint64(d), false; !ready; {
+			ready, d = c.LoadPoll(stale, at)
+			at += uint64(d)
+		}
+	}
+	reused, _ = c.LoadRequest(0x8000, 1000)
+	if reused&reqSlotMask != stale&reqSlotMask {
+		t.Fatalf("slot not reused: stale %#x, new %#x", stale, reused)
+	}
+	if reused == stale {
+		t.Fatalf("id %#x handed out twice", stale)
+	}
+	return stale, reused
 }
 
 func TestPollUnknownPanics(t *testing.T) {
-	c := New(DefaultConfig())
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	c.LoadPoll(99, 0)
+	cases := []struct {
+		name string
+		id   func(t *testing.T, c *Cache) int
+	}{
+		{"never issued", func(*testing.T, *Cache) int { return 99 }},
+		{"zero, slot 0 free", func(_ *testing.T, c *Cache) int { id, _ := c.LoadRequest(0x7000, 0); c.Cancel(id); return 0 }},
+		{"completed, slot reused", func(t *testing.T, c *Cache) int { s, _ := finishedID(t, c, false); return s }},
+		{"cancelled, slot reused", func(t *testing.T, c *Cache) int { s, _ := finishedID(t, c, true); return s }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(DefaultConfig())
+			id := tc.id(t, c)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LoadPoll(%#x) did not panic", id)
+				}
+			}()
+			c.LoadPoll(id, 1<<20)
+		})
+	}
 }
 
 func TestDeterminism(t *testing.T) {

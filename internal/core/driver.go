@@ -34,7 +34,12 @@ type driver struct {
 	lqHead    int // lQ entries retired
 	sqHead    int // sQ entries retired
 
-	liveReqs map[int]int // absolute lQ index -> cache request id
+	// liveReqs holds the cache request of each in-flight load, indexed by
+	// lqIdx & reqMask. Only loads in the active list are in flight, and
+	// they hold consecutive lQ indices, so a ring of at least ActiveList
+	// entries never needs one slot for two live loads.
+	liveReqs []liveReq
+	reqMask  int
 
 	retiredInsts  uint64
 	retiredLoads  uint64
@@ -62,14 +67,28 @@ func (d *driver) registerMetrics(r *obs.Registry) {
 	d.pred.RegisterMetrics(r)
 }
 
-func newDriver(prog *program.Program, cacheCfg cachesim.Config, bp BPredConfig) *driver {
+// liveReq is one liveReqs entry: the cache request id of load lqIdx, or
+// id 0 when the slot is free (cachesim never hands out id 0).
+type liveReq struct {
+	lqIdx int
+	id    int
+}
+
+// newDriver builds the driver for a pipeline whose active list holds at
+// most activeList instructions.
+func newDriver(prog *program.Program, cacheCfg cachesim.Config, bp BPredConfig, activeList int) *driver {
 	pred := bp.build()
+	n := 1
+	for n < activeList {
+		n <<= 1
+	}
 	return &driver{
 		prog:     prog,
 		eng:      direct.New(prog, pred),
 		pred:     pred,
 		cache:    cachesim.New(cacheCfg),
-		liveReqs: make(map[int]int),
+		liveReqs: make([]liveReq, n),
+		reqMask:  n - 1,
 	}
 }
 
@@ -119,27 +138,41 @@ func (d *driver) ensure(have func() int, want int) {
 func (d *driver) IssueLoad(lqIdx int, now uint64) int {
 	d.ensure(d.eng.NumLoads, lqIdx)
 	l := d.eng.Load(lqIdx)
+	r := &d.liveReqs[lqIdx&d.reqMask]
+	if r.id != 0 && r.lqIdx != lqIdx {
+		d.fail("core: load %d issued while load %d holds its slot (more loads in flight than the active list)", lqIdx, r.lqIdx)
+	}
 	id, delay := d.cache.LoadRequest(l.Addr, now)
-	d.liveReqs[lqIdx] = id
+	*r = liveReq{lqIdx: lqIdx, id: id}
 	return delay
 }
 
+// live returns the liveReqs entry of load lqIdx, or nil if it has no
+// request in flight.
+func (d *driver) live(lqIdx int) *liveReq {
+	r := &d.liveReqs[lqIdx&d.reqMask]
+	if r.id == 0 || r.lqIdx != lqIdx {
+		return nil
+	}
+	return r
+}
+
 func (d *driver) PollLoad(lqIdx int, now uint64) (bool, int) {
-	id, ok := d.liveReqs[lqIdx]
-	if !ok {
+	r := d.live(lqIdx)
+	if r == nil {
 		d.fail("core: poll of load %d with no live request", lqIdx)
 	}
-	ready, delay := d.cache.LoadPoll(id, now)
+	ready, delay := d.cache.LoadPoll(r.id, now)
 	if ready {
-		delete(d.liveReqs, lqIdx)
+		r.id = 0
 	}
 	return ready, delay
 }
 
 func (d *driver) CancelLoad(lqIdx int) {
-	if id, ok := d.liveReqs[lqIdx]; ok {
-		d.cache.Cancel(id)
-		delete(d.liveReqs, lqIdx)
+	if r := d.live(lqIdx); r != nil {
+		d.cache.Cancel(r.id)
+		r.id = 0
 	}
 }
 

@@ -25,7 +25,7 @@ func TestConfigEncodeReconstructRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		drv := newDriver(prog, cfg.Cache, cfg.BPred)
+		drv := newDriver(prog, cfg.Cache, cfg.BPred, cfg.Uarch.ActiveList)
 		pl, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestReconstructRejectsCorruptKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	drv := newDriver(prog, cfg.Cache, cfg.BPred)
+	drv := newDriver(prog, cfg.Cache, cfg.BPred, cfg.Uarch.ActiveList)
 	pl, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
 	if err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	if maxCycles == 0 {
 		maxCycles = defaultMaxCycles
 	}
-	drv := newDriver(prog, cfg.Cache, cfg.BPred)
+	drv := newDriver(prog, cfg.Cache, cfg.BPred, cfg.Uarch.ActiveList)
 	o := cfg.Observer
 	if o != nil {
 		drv.obs = o

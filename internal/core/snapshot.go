@@ -27,6 +27,10 @@ type SnapshotStatus struct {
 	Warning       string // non-empty when a present snapshot was rejected (cold fallback)
 }
 
+// Fingerprint is the exported form of fingerprint, used by the simulation
+// server to report which shared-cache entry a job keys into.
+func Fingerprint(prog *program.Program, cfg *Config) uint64 { return fingerprint(prog, cfg) }
+
 // fingerprint hashes everything that determines the p-action cache's
 // contents: the program's entry point, text and data, the pipeline
 // parameters, the cache hierarchy, and the branch predictor. Two runs with
@@ -38,10 +42,6 @@ type SnapshotStatus struct {
 // Memoization options (policy, limit) are deliberately excluded: they
 // bound the cache's size, not its meaning, so a snapshot saved under one
 // policy warm-starts a run under another.
-// Fingerprint is the exported form of fingerprint, used by the simulation
-// server to report which shared-cache entry a job keys into.
-func Fingerprint(prog *program.Program, cfg *Config) uint64 { return fingerprint(prog, cfg) }
-
 func fingerprint(prog *program.Program, cfg *Config) uint64 {
 	const (
 		offset64 = 14695981039346656037

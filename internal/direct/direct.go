@@ -140,7 +140,11 @@ type Engine struct {
 	bq    []checkpoint
 	stats Stats
 
-	blocks map[uint32]*block
+	// blocks is the pre-decoded block table, indexed by
+	// (pc-TextBase)/WordSize and filled on first execution. bad is the
+	// shared termBad block handed out for any pc outside it.
+	blocks []*block
+	bad    block
 }
 
 // MaxBlockInsts caps straight-line block length.
@@ -163,8 +167,10 @@ const (
 )
 
 type decoded struct {
-	inst isa.Inst
-	pc   uint32
+	inst  isa.Inst
+	pc    uint32
+	cls   isa.Class
+	width uint8 // memory access width in bytes; 0 for non-memory classes
 }
 
 type block struct {
@@ -181,14 +187,28 @@ func New(p *program.Program, pred bpred.Predictor) *Engine {
 		St:     emulator.NewState(p),
 		Pred:   pred,
 		PC:     p.Entry,
-		blocks: make(map[uint32]*block),
+		blocks: make([]*block, len(p.Text)),
+		bad:    block{kind: termBad},
 	}
 }
 
+// blockAt returns the block starting at pc, decoding it on first use. A pc
+// below TextBase, unaligned, or past the end of text yields the termBad
+// block, valid until the next call.
 func (e *Engine) blockAt(pc uint32) *block {
-	if b, ok := e.blocks[pc]; ok {
-		return b
+	i := (pc - program.TextBase) / isa.WordSize
+	if pc < program.TextBase || pc%isa.WordSize != 0 || i >= uint32(len(e.blocks)) {
+		e.bad.term.pc = pc
+		return &e.bad
 	}
+	slot := &e.blocks[i]
+	if *slot == nil {
+		*slot = e.decodeBlock(pc)
+	}
+	return *slot
+}
+
+func (e *Engine) decodeBlock(pc uint32) *block {
 	b := &block{}
 	cur := pc
 	for n := 0; ; n++ {
@@ -198,8 +218,8 @@ func (e *Engine) blockAt(pc uint32) *block {
 			b.term = decoded{pc: cur}
 			break
 		}
-		d := decoded{inst: inst, pc: cur}
 		cls := inst.Class()
+		d := decoded{inst: inst, pc: cur, cls: cls, width: uint8(inst.MemWidth())}
 		if cls.IsControl() || cls == isa.ClassHalt ||
 			(cls == isa.ClassSys && inst.Imm == isa.SysExit) {
 			b.term = d
@@ -223,7 +243,6 @@ func (e *Engine) blockAt(pc uint32) *block {
 			break
 		}
 	}
-	e.blocks[pc] = b
 	return b
 }
 
@@ -324,14 +343,13 @@ func (e *Engine) RunToNextControlPoint() (int, error) {
 // instrumentation of Figure 3.
 func (e *Engine) execBody(d decoded) {
 	st := e.St
-	switch d.inst.Class() {
+	switch d.cls {
 	case isa.ClassLoad:
 		addr := st.R[d.inst.Rs1] + uint32(d.inst.Imm)
-		e.lq = append(e.lq, LoadRec{Addr: addr, Width: uint8(d.inst.MemWidth())})
+		e.lq = append(e.lq, LoadRec{Addr: addr, Width: d.width})
 	case isa.ClassStore:
 		addr := st.R[d.inst.Rs1] + uint32(d.inst.Imm)
-		w := d.inst.MemWidth()
-		e.sq = append(e.sq, StoreRec{Addr: addr, Old: st.Mem.ReadN(addr, w), Width: uint8(w)})
+		e.sq = append(e.sq, StoreRec{Addr: addr, Old: st.Mem.ReadN(addr, int(d.width)), Width: d.width})
 	}
 	emulator.StepInst(st, d.inst, d.pc)
 }
@@ -430,12 +448,6 @@ func (e *Engine) Rollback(recIdx int) error {
 	e.Halted = false
 	return nil
 }
-
-// ResolveCorrect discards the checkpoint bookkeeping for a branch that the
-// µ-architecture resolved as correctly predicted. Correctly predicted
-// branches never checkpoint, so this is a no-op kept for interface
-// symmetry; it exists so the driver's resolution path is explicit.
-func (e *Engine) ResolveCorrect(recIdx int) {}
 
 // NumLoads returns the absolute number of lQ entries ever recorded (and not
 // rolled back); entry indices are absolute and stable across Trim.

@@ -193,52 +193,85 @@ target:
 	}
 }
 
+// badTargets are pcs outside the block table. Each is loaded into t1 by
+// the given assembly for a jr to follow; the label end marks TextEnd. jr
+// clears the low two bits of its target, so no instruction reaches an
+// unaligned pc: that case sets the engine's PC after the jr instead.
+var badTargets = []struct {
+	name      string
+	set       string
+	unaligned bool
+	pc        func(p *program.Program) uint32
+}{
+	{"far below text", "li t1, 0x10", false, func(*program.Program) uint32 { return 0x10 }},
+	{"TextBase-4", "li t1, 0xffc", false, func(*program.Program) uint32 { return program.TextBase - 4 }},
+	{"TextEnd", "la t1, end", false, func(p *program.Program) uint32 { return p.TextEnd() }},
+	{"unaligned", "la t1, target", true, func(*program.Program) uint32 { return program.TextBase + 2 }},
+}
+
 func TestWrongPathInvalidPCStalls(t *testing.T) {
-	p := build(t, `
+	for _, bt := range badTargets {
+		t.Run(bt.name, func(t *testing.T) {
+			p := build(t, `
 main:
 	li   t0, 1
-	li   t1, 0x10       # garbage target (outside text)
+	`+bt.set+`
 	bnez t0, target
 	jr   t1             # wrong path: jump to garbage
 target:
 	halt
+end:
 `)
-	eng := New(p, bpred.New(512))
-	i1, _ := eng.RunToNextControlPoint()
-	i2, err := eng.RunToNextControlPoint()
-	if err != nil {
-		t.Fatal(err)
+			eng := New(p, bpred.New(512))
+			i1, _ := eng.RunToNextControlPoint()
+			i2, err := eng.RunToNextControlPoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The wrong-path jr itself is an indirect-jump record; following
+			// it lands at an invalid pc, which must produce a stall record.
+			if eng.Rec(i2).Kind != KindIJump {
+				t.Fatalf("rec2 = %+v", eng.Rec(i2))
+			}
+			if bt.unaligned {
+				eng.PC = bt.pc(p)
+			}
+			i3, err := eng.RunToNextControlPoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := eng.Rec(i3); r.Kind != KindStall || r.PC != bt.pc(p) {
+				t.Fatalf("rec3 = %+v, want stall at %#x", r, bt.pc(p))
+			}
+			if err := eng.Rollback(i1); err != nil {
+				t.Fatal(err)
+			}
+			drive(t, eng, 4)
+		})
 	}
-	// The wrong-path jr itself is an indirect-jump record; following it
-	// lands at an invalid pc, which must produce a stall record.
-	if eng.Rec(i2).Kind != KindIJump {
-		t.Fatalf("rec2 = %+v", eng.Rec(i2))
-	}
-	i3, err := eng.RunToNextControlPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Rec(i3).Kind != KindStall {
-		t.Fatalf("rec3 = %+v, want stall", eng.Rec(i3))
-	}
-	if err := eng.Rollback(i1); err != nil {
-		t.Fatal(err)
-	}
-	drive(t, eng, 4)
 }
 
 func TestCommittedInvalidPCIsError(t *testing.T) {
-	p := build(t, `
+	for _, bt := range badTargets {
+		t.Run(bt.name, func(t *testing.T) {
+			p := build(t, `
 main:
-	li t0, 0x10
-	jr t0
+	`+bt.set+`
+target:
+	jr t1
+end:
 `)
-	eng := New(p, bpred.New(512))
-	if _, err := eng.RunToNextControlPoint(); err != nil {
-		t.Fatal(err) // the jr record itself
-	}
-	if _, err := eng.RunToNextControlPoint(); err == nil {
-		t.Fatal("expected error for committed invalid pc")
+			eng := New(p, bpred.New(512))
+			if _, err := eng.RunToNextControlPoint(); err != nil {
+				t.Fatal(err) // the jr record itself
+			}
+			if bt.unaligned {
+				eng.PC = bt.pc(p)
+			}
+			if _, err := eng.RunToNextControlPoint(); err == nil {
+				t.Fatal("expected error for committed invalid pc")
+			}
+		})
 	}
 }
 

@@ -713,8 +713,8 @@ func (s *Server) finish(job *Job, st State, code Code, msg string, res *core.Res
 	if job.stopAfter != nil {
 		job.stopAfter()
 	}
-	close(job.done)
-
+	// Count before waking waiters, so a caller returning from Wait sees
+	// the job in Stats.
 	s.mu.Lock()
 	switch st {
 	case StateDone:
@@ -725,6 +725,7 @@ func (s *Server) finish(job *Job, st State, code Code, msg string, res *core.Res
 		s.counters.cancelled++
 	}
 	s.mu.Unlock()
+	close(job.done)
 }
 
 // Drain stops admission and waits for the queue and running jobs to
