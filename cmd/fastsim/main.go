@@ -38,7 +38,6 @@ func main() {
 		memoSave = flag.String("memo-save", "", "save the p-action cache to this snapshot file after the run (atomic)")
 		budget   = flag.Int("memo-budget", 0, "hard p-action cache memory budget in bytes, enforced for every policy (0 = off)")
 		verify   = flag.Float64("verify", 0, "shadow-verification rate in [0,1]: fraction of cache hits re-executed in detail and cross-checked")
-		compileN = flag.Int("replay-compile", 0, "compile chains into flat replay bytecode after N replay entries (0 = off)")
 		chaos    = flag.Uint64("chaos", 0, "arm the chaos fault-injection preset with this seed (0 = off); implies -verify 1 unless set explicitly")
 		trace    = flag.String("trace", "", "write a pipetrace to this file (per-cycle under slowsim; episode-granular under fastsim)")
 		spanOut  = flag.String("span-trace", "", "write a Chrome trace-event span trace (Perfetto-loadable JSON) to this file")
@@ -124,7 +123,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Memo = fastsim.MemoOptions{Policy: pol, Limit: *limit, Budget: *budget, VerifyRate: *verify, CompileThreshold: *compileN}
+		cfg.Memo = fastsim.MemoOptions{Policy: pol, Limit: *limit, Budget: *budget, VerifyRate: *verify}
 		cfg.SnapshotLoad = *memoLoad
 		cfg.SnapshotSave = *memoSave
 		var inj *fastsim.FaultInjector
@@ -308,10 +307,6 @@ func printResult(r *fastsim.Result) {
 		if m.EpisodesVerified+m.Quarantines > 0 {
 			fmt.Printf("               verified %d episodes: %d divergences, %d quarantines (%d actions evicted)\n",
 				m.EpisodesVerified, m.VerifyDivergences, m.Quarantines, m.QuarantinedActions)
-		}
-		if m.ChainsCompiled > 0 {
-			fmt.Printf("               compiled %d chains (%d ops, %d KB): %d bytecode episodes, %d invalidations\n",
-				m.ChainsCompiled, m.CompiledOps, m.CompiledBytes>>10, m.CompiledEpisodes, m.CompileInvalidations)
 		}
 		if m.GuardPressure+m.GuardDegraded > 0 {
 			fmt.Printf("               guard: %d pressure transitions, %d degradations, %d detailed-only episodes\n",

@@ -9,7 +9,6 @@
 //	fsbench -all                    # Tables 2-5 from one suite run
 //	fsbench -figure 7               # cache-limit sweep (slow: many runs)
 //	fsbench -warmcold               # snapshot warm-start vs cold-start timing
-//	fsbench -replaycompare          # flat replay bytecode vs pointer replay (bit-identity + speed)
 //	fsbench -chaos -seed 7          # fault-injection suite: self-heal or typed error
 //	fsbench -serverchaos            # fssrv chaos: crash recovery, journal faults, shedding
 //	fsbench -ablation gc|direct|encoding
@@ -37,9 +36,6 @@ func main() {
 		ablation  = flag.String("ablation", "", "run an ablation: gc | direct | encoding | bpred | inorder")
 		all       = flag.Bool("all", false, "regenerate tables 2-5 from one run")
 		warmcold  = flag.Bool("warmcold", false, "measure snapshot warm-start vs cold-start wall time")
-		replaycmp = flag.Bool("replaycompare", false, "compare flat replay bytecode against pointer replay: bit-identity matrix + warm throughput")
-		compileN  = flag.Int("compile-threshold", 1, "replay-compile threshold for -replaycompare (Nth replay entry compiles the chain)")
-		rounds    = flag.Int("rounds", 3, "warm throughput rounds per mode for -replaycompare")
 		chaos     = flag.Bool("chaos", false, "run the fault-injection suite: every fault must self-heal or fail typed")
 		svchaos   = flag.Bool("serverchaos", false, "run the fssrv chaos suite: crash recovery, journal faults, load shedding — every job recovered, retried, or typed")
 		artifacts = flag.String("artifacts", "", "directory receiving journal images from -serverchaos for post-mortem inspection")
@@ -127,27 +123,6 @@ func main() {
 			return
 		}
 		fmt.Println(tablegen.RenderWarmCold(rows))
-
-	case *replaycmp:
-		rows, err := tablegen.RunReplayCompare(subset, *scale, *compileN, *jobs)
-		if err != nil {
-			fatal(err)
-		}
-		tpName := "099.go"
-		if len(subset) > 0 {
-			tpName = subset[0]
-		}
-		tp, err := tablegen.RunReplayThroughput(tpName, *scale, *compileN, *rounds)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			if err := tablegen.WriteReplayCompareJSON(os.Stdout, *compileN, rows, tp); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		fmt.Println(tablegen.RenderReplayCompare(rows, tp))
 
 	case *chaos:
 		rows, err := tablegen.RunChaos(subset, *scale, *seed, *jobs)

@@ -94,31 +94,6 @@ func ExampleMemoOptions() {
 	// flushed: true
 }
 
-// Hot p-action chains can be compiled into flat replay bytecode; the Result
-// stays bit-identical to the pointer walk.
-func ExampleWithReplayCompile() {
-	w, _ := fastsim.GetWorkload("129.compress")
-	prog, err := w.Build(0.05)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	pointer, err := fastsim.Run(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	compiled, err := fastsim.Run(prog, fastsim.WithReplayCompile(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("same cycle count:", pointer.Cycles == compiled.Cycles)
-	fmt.Println("chains compiled:", compiled.Memo.ChainsCompiled > 0)
-	// Output:
-	// same cycle count: true
-	// chains compiled: true
-}
-
 // WithSpanTraceTo streams a Chrome trace-event span trace of the run; the
 // tracer is owned and closed by the run, so one composable option is all it
 // takes.

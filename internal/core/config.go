@@ -55,7 +55,7 @@ type Config struct {
 	// TracerOwned transfers Tracer ownership to the run: Run closes it on
 	// every path (success, error, panic recovery) before returning, and a
 	// close failure on an otherwise successful run surfaces as the run
-	// error. Set by the facade's WithSpanTrace-style options, which build
+	// error. Set by the facade's WithSpanTraceTo/Into options, which build
 	// the tracer internally; callers attaching their own tracer via
 	// WithTracer keep ownership.
 	TracerOwned bool

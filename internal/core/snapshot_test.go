@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,9 +127,11 @@ func TestSnapshotSaveLoadAcrossPolicies(t *testing.T) {
 }
 
 // TestSnapshotCorruptionFallsBackCold truncates a valid snapshot at every
-// section boundary and flips header bytes; each damaged file must produce
-// a clean cold run — same Result, a structured warning, no error, no
-// panic — and strict mode must surface the typed sentinel instead.
+// section boundary, flips header bytes, and stamps the previous format
+// version (v2 still carried a per-config use counter) on an otherwise
+// valid file; each damaged file must produce a clean cold run — same
+// Result, a structured warning, no error, no panic — and strict mode must
+// surface the typed sentinel instead.
 func TestSnapshotCorruptionFallsBackCold(t *testing.T) {
 	p := obsWorkloads(t)["099.go"]
 	dir := t.TempDir()
@@ -149,6 +153,7 @@ func TestSnapshotCorruptionFallsBackCold(t *testing.T) {
 	type damage struct {
 		name string
 		data []byte
+		want error // the strict-mode sentinel, when only one is right
 	}
 	var cases []damage
 	for _, n := range []int{0, 1, 8, 20, 39, 40, 60, len(data) / 4, len(data) / 2, len(data) - 1} {
@@ -161,6 +166,14 @@ func TestSnapshotCorruptionFallsBackCold(t *testing.T) {
 		mut[i] ^= 0x40
 		cases = append(cases, damage{name: "bitflip", data: mut})
 	}
+	// Header: version u32 at byte 8, FNV-1a of the first 32 bytes at 32.
+	// Re-sealing the header makes the version the only difference.
+	old := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(old[8:], snapshot.Version-1)
+	h := fnv.New64a()
+	h.Write(old[:32])
+	binary.LittleEndian.PutUint64(old[32:], h.Sum64())
+	cases = append(cases, damage{name: "older-version", data: old, want: snapshot.ErrVersion})
 
 	for i, dmg := range cases {
 		bad := filepath.Join(dir, "bad.fsnap")
@@ -196,6 +209,8 @@ func TestSnapshotCorruptionFallsBackCold(t *testing.T) {
 			t.Errorf("%s[%d]: strict mode accepted damage", dmg.name, i)
 		} else if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrVersion) {
 			t.Errorf("%s[%d]: strict error %v lacks a typed sentinel", dmg.name, i, err)
+		} else if dmg.want != nil && !errors.Is(err, dmg.want) {
+			t.Errorf("%s[%d]: strict error %v, want %v", dmg.name, i, err, dmg.want)
 		}
 	}
 }

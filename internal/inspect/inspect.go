@@ -21,14 +21,13 @@ import (
 // ChainInfo summarizes one configuration's action chain (the subtree of
 // nodes recorded under it).
 type ChainInfo struct {
-	Config   int    `json:"config"`         // index in the snapshot's sorted key order
-	KeyBytes int    `json:"key_bytes"`      // encoded iQ snapshot size
-	Actions  uint64 `json:"actions"`        // nodes in the chain subtree
-	Episodes uint64 `json:"episodes"`       // advance nodes (episodes recorded)
-	Cycles   uint64 `json:"cycles"`         // simulated cycles covered by those episodes
-	Insts    int64  `json:"insts"`          // instructions retired by them
-	Links    uint64 `json:"links"`          // links into successor configurations
-	Uses     uint32 `json:"uses,omitempty"` // replay-use counter (bytecode warmth hint)
+	Config   int    `json:"config"`    // index in the snapshot's sorted key order
+	KeyBytes int    `json:"key_bytes"` // encoded iQ snapshot size
+	Actions  uint64 `json:"actions"`   // nodes in the chain subtree
+	Episodes uint64 `json:"episodes"`  // advance nodes (episodes recorded)
+	Cycles   uint64 `json:"cycles"`    // simulated cycles covered by those episodes
+	Insts    int64  `json:"insts"`     // instructions retired by them
+	Links    uint64 `json:"links"`     // links into successor configurations
 }
 
 // SnapshotReport is the digest of one p-action snapshot.
@@ -38,12 +37,6 @@ type SnapshotReport struct {
 	Actions     int    `json:"actions"` // loaded_actions: every action node
 	Shells      int    `json:"shells"`  // configs awaiting re-recording (no chain)
 	KeyBytes    int    `json:"key_bytes"`
-
-	// WarmConfigs counts configurations carrying a non-zero replay-use
-	// counter (v2 snapshots) — the chains a replay-compiling warm start
-	// considers hot; ReplayUses is their sum.
-	WarmConfigs int    `json:"warm_configs,omitempty"`
-	ReplayUses  uint64 `json:"replay_uses,omitempty"`
 
 	// Kinds counts actions by kind name.
 	Kinds map[string]uint64 `json:"kinds"`
@@ -78,12 +71,6 @@ func AnalyzeSnapshot(img *snapshot.Image, topN int) *SnapshotReport {
 	for i := range g.Actions {
 		r.Kinds[g.Actions[i].KindString()]++
 	}
-	for _, u := range g.Uses {
-		if u > 0 {
-			r.WarmConfigs++
-			r.ReplayUses += uint64(u)
-		}
-	}
 
 	chains := make([]ChainInfo, 0, len(g.Keys))
 	var stack []int64
@@ -95,9 +82,6 @@ func AnalyzeSnapshot(img *snapshot.Image, topN int) *SnapshotReport {
 			continue
 		}
 		ci := ChainInfo{Config: i, KeyBytes: len(key)}
-		if i < len(g.Uses) {
-			ci.Uses = g.Uses[i]
-		}
 		// The p-action graph is a tree per configuration (links cross into
 		// other configs only via NextCfg), so a plain DFS visits each
 		// subtree node exactly once.
@@ -148,15 +132,11 @@ func (r *SnapshotReport) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\n%s", indent(r.ChainHist.Render("actions per config"), "  "))
 	fmt.Fprintf(w, "\n%s", indent(r.EpisodeHist.Render("episodes per config"), "  "))
-	if r.WarmConfigs > 0 {
-		fmt.Fprintf(w, "\n  warm configs %d (replay uses %d) — bytecode compile hints\n",
-			r.WarmConfigs, r.ReplayUses)
-	}
 	fmt.Fprintf(w, "\n  top chains (by actions):\n")
-	fmt.Fprintf(w, "    %8s %8s %9s %10s %10s %6s %6s\n", "config", "actions", "episodes", "cycles", "insts", "links", "uses")
+	fmt.Fprintf(w, "    %8s %8s %9s %10s %10s %6s\n", "config", "actions", "episodes", "cycles", "insts", "links")
 	for _, c := range r.TopChains {
-		fmt.Fprintf(w, "    %8d %8d %9d %10d %10d %6d %6d\n",
-			c.Config, c.Actions, c.Episodes, c.Cycles, c.Insts, c.Links, c.Uses)
+		fmt.Fprintf(w, "    %8d %8d %9d %10d %10d %6d\n",
+			c.Config, c.Actions, c.Episodes, c.Cycles, c.Insts, c.Links)
 	}
 	s := &r.Stats
 	fmt.Fprintf(w, "\n  stats: lookups=%d hits=%d episodes(record=%d replay=%d) insts(detailed=%d replay=%d)\n",

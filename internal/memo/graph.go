@@ -22,13 +22,6 @@ type Graph struct {
 	// First holds, per config, the action index of the chain head, or -1
 	// for a shell awaiting re-recording.
 	First []int64
-	// Uses holds, per config, the replay-use counter feeding the flat
-	// replay bytecode's compile trigger (Options.CompileThreshold). It is a
-	// warmth hint: compiled buffers themselves are never persisted, but a
-	// warm-started run that re-crosses the threshold recompiles hot chains
-	// on first touch. Nil (pre-v2 images, hand-built graphs) means all
-	// zeros.
-	Uses []uint32
 	// Actions holds every reachable action node in traversal order.
 	Actions []GraphAction
 	// Stats is the cache's counter state at export time; a warm-started
@@ -116,7 +109,6 @@ func (c *Cache) ExportGraph() *Graph {
 	g := &Graph{
 		Keys:    make([]string, len(cfgs)),
 		First:   make([]int64, len(cfgs)),
-		Uses:    make([]uint32, len(cfgs)),
 		Actions: make([]GraphAction, len(order)),
 		Stats:   c.stats,
 	}
@@ -126,7 +118,6 @@ func (c *Cache) ExportGraph() *Graph {
 		if cf.first != nil {
 			g.First[i] = actID[cf.first]
 		}
-		g.Uses[i] = cf.uses
 	}
 	for i, a := range order {
 		ga := GraphAction{
@@ -199,9 +190,6 @@ func (c *Cache) ImportGraph(g *Graph) error {
 	if len(g.Keys) != len(g.First) {
 		return fmt.Errorf("memo: import: %d keys but %d chain heads", len(g.Keys), len(g.First))
 	}
-	if g.Uses != nil && len(g.Uses) != len(g.Keys) {
-		return fmt.Errorf("memo: import: %d keys but %d use counters", len(g.Keys), len(g.Uses))
-	}
 	nAct := int64(len(g.Actions))
 	checkAct := func(id int64) error {
 		if id < -1 || id >= nAct {
@@ -221,9 +209,6 @@ func (c *Cache) ImportGraph(g *Graph) error {
 			return err
 		}
 		cf := &config{key: key, hash: h, gen: c.gen, old: true}
-		if g.Uses != nil {
-			cf.uses = g.Uses[i]
-		}
 		cfgs[i] = cf
 		c.tab.insert(cf)
 		c.bytes += len(key) + configOverhead

@@ -106,19 +106,6 @@ type Options struct {
 	// memo sites (allocation failure, chain bit flips); tests and the
 	// opt-in chaos modes only. Nil costs one pointer check per allocation.
 	Inject *faultinject.Injector
-
-	// CompileThreshold, when positive, turns hot p-action chains into flat
-	// replay bytecode: once replay has entered a configuration's chain that
-	// many times, the chain's episode tree is compiled into a contiguous
-	// buffer (fixed-size instructions, branch targets as buffer offsets, the
-	// advance payload hoisted out of the dispatch loop) and subsequent
-	// episodes replay through a tight loop with no pointer loads. Results
-	// stay bit-identical to the pointer walk under every policy; compiled
-	// buffers are invalidated whenever their chain changes (recorder growth,
-	// quarantine, reclaim, guard pressure) and recompiled on demand.
-	// 0 disables (the default); 1 compiles on a chain's first replay entry.
-	// See docs/API.md.
-	CompileThreshold int
 }
 
 // DefaultOptions returns an unbounded p-action cache.
@@ -178,16 +165,6 @@ type Stats struct {
 	GuardPressure      uint64 // transitions into the GC-pressure guard level
 	GuardDegraded      uint64 // transitions into detailed-only degradation
 	DegradedEpisodes   uint64 // episodes simulated detached from the cache
-
-	// Flat replay bytecode activity (PR: flat replay bytecode). Like the
-	// robustness block these are per-run diagnostics, excluded from the
-	// snapshot stats section — a warm start reports its own compile
-	// activity from zero.
-	ChainsCompiled       uint64 // episode trees compiled into flat units
-	CompiledOps          uint64 // bytecode instructions emitted, cumulative
-	CompiledBytes        uint64 // compiled-buffer bytes allocated, cumulative
-	CompiledEpisodes     uint64 // episodes replayed through bytecode
-	CompileInvalidations uint64 // compiled units dropped (growth, quarantine, reclaim, guard)
 }
 
 // SurvivalPct returns the average fraction of the p-action cache surviving

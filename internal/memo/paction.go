@@ -140,13 +140,6 @@ type config struct {
 	hnext *config // configTable bucket chain
 	gen   uint32
 	old   bool
-
-	// Flat replay bytecode state (CompileThreshold > 0; see compile.go).
-	// uses counts replay entries into this chain while compilation is
-	// enabled — the compile trigger, persisted with snapshots as a warmth
-	// hint. bc is the compiled unit, valid iff bc.epoch == Cache.bcEpoch.
-	uses uint32
-	bc   *compiled
 }
 
 // Cache is the p-action cache with its replacement policy.
@@ -159,17 +152,6 @@ type Cache struct {
 	gen    uint32
 	minors int
 	stats  Stats
-
-	// Flat replay bytecode state. bcEpoch stamps compiled units; bumping it
-	// (invalidateCompiled) drops every unit at once after a reclaim or guard
-	// transition. needMark is precomputed from the options: whether any
-	// collection can ever consult generation marks, so compiled replay —
-	// whose whole point is not touching graph nodes — can skip marking when
-	// no collector will ever read the marks.
-	bcEpoch  uint64
-	needMark bool
-	csc      compileScratch // reusable compiler traversal buffers
-	units    unitArena      // slab allocator for compiled units
 
 	// Observability: replacement activity is reported as structured
 	// events and reclaim spans, stamped with the engine's cycle counter
@@ -210,11 +192,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.Counter(obs.MetricMemoQuarantinedActs, &c.stats.QuarantinedActions)
 	r.Counter(obs.MetricMemoVerifyEpisodes, &c.stats.EpisodesVerified)
 	r.Counter(obs.MetricMemoVerifyDivergences, &c.stats.VerifyDivergences)
-	r.Counter(obs.MetricMemoCompileChains, &c.stats.ChainsCompiled)
-	r.Counter(obs.MetricMemoCompileOps, &c.stats.CompiledOps)
-	r.Counter(obs.MetricMemoCompileBytes, &c.stats.CompiledBytes)
-	r.Counter(obs.MetricMemoCompileEpisodes, &c.stats.CompiledEpisodes)
-	r.Counter(obs.MetricMemoCompileInvalidations, &c.stats.CompileInvalidations)
 }
 
 // NewCache returns an empty p-action cache.
@@ -225,13 +202,7 @@ func NewCache(opts Options) *Cache {
 	if opts.Policy == PolicyUnbounded {
 		opts.Limit = 0
 	}
-	// Generation marks are consulted by collect() only: the GC policies run
-	// it from Reclaim, and any non-flush policy runs it from the budget
-	// guard's forceReclaim. PolicyFlush never collects, and unbudgeted
-	// PolicyUnbounded never reclaims at all.
-	needMark := opts.Policy == PolicyGC || opts.Policy == PolicyGenGC ||
-		(opts.Budget > 0 && opts.Policy != PolicyFlush)
-	return &Cache{opts: opts, tab: newConfigTable(0), gen: 1, needMark: needMark}
+	return &Cache{opts: opts, tab: newConfigTable(0), gen: 1}
 }
 
 // Stats returns a copy of the counters.
@@ -379,7 +350,6 @@ func (c *Cache) forceReclaim() {
 // configurations into cfg stay valid — a link to a shell is an ordinary
 // replay stop. Returns the number of evicted actions.
 func (c *Cache) evictChain(cfg *config) uint64 {
-	c.dropCompiled(cfg)
 	var evicted uint64
 	var stack []*action
 	if cfg.first != nil {
@@ -418,7 +388,6 @@ func (c *Cache) evictChain(cfg *config) uint64 {
 // arena releases every slab wholesale; a recorder mid-episode may still hold
 // nodes of the old graph, which stay valid Go objects until it drops them.
 func (c *Cache) flush() {
-	c.invalidateCompiled()
 	c.tab = newConfigTable(0)
 	c.arena.reset()
 	c.bytes = 0
@@ -438,9 +407,6 @@ func (c *Cache) flush() {
 // visited exactly once and the stack depth is bounded by live fan-out, not
 // chain length.
 func (c *Cache) collect(minorOnly bool) {
-	// A collection may clip edges out of surviving trees, so no compiled
-	// unit can be trusted afterwards; hot survivors recompile on next entry.
-	c.invalidateCompiled()
 	c.stats.Collections++
 	c.stats.LiveBeforeColl += uint64(c.live)
 	keepAct := func(a *action) bool {
@@ -555,14 +521,12 @@ func (c *Cache) collect(minorOnly bool) {
 	next := newConfigTable(len(kept))
 	for _, cf := range kept {
 		cf.old = true
-		cf.bc = nil // epoch-invalidated above; release the buffer now
 		next.insert(cf)
 		bytes += len(cf.key) + configOverhead
 	}
 	for _, cf := range refs {
 		if next.findString(cf.key, cf.hash) == nil {
 			cf.first = nil
-			cf.bc = nil
 			cf.old = true
 			next.insert(cf)
 			bytes += len(cf.key) + configOverhead

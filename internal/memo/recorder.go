@@ -72,8 +72,6 @@ func (r *recorder) successor() *action {
 }
 
 func (r *recorder) setSuccessor(a *action) {
-	// The tree is growing a new branch: any compiled image of it is stale.
-	r.c.dropCompiled(r.cfg)
 	switch {
 	case r.node == nil:
 		r.cfg.first = a
@@ -167,8 +165,6 @@ func (r *recorder) setLink(cfg *config) {
 		r.c.markAct(n)
 		if n.nextCfg == nil || n.nextCfg.key != cfg.key {
 			n.nextCfg = cfg
-			// The link target changed under any compiled image of the tree.
-			r.c.dropCompiled(r.cfg)
 		}
 	} else {
 		n = r.c.newAction(actLink, 0)

@@ -241,31 +241,6 @@ func (t *Tracer) ReclaimEnd(cycle uint64, bytesBefore, bytesAfter int) {
 	t.counter("memo.bytes", end, int64(bytesAfter))
 }
 
-// CompileBegin opens a chain-compilation span: a hot p-action chain being
-// flattened into replay bytecode.
-func (t *Tracer) CompileBegin(cycle uint64) {
-	if t == nil {
-		return
-	}
-	t.push("compile", "", cycle)
-}
-
-// CompileEnd closes a chain-compilation span with the unit's shape; ops and
-// bytes are zero when the compiler refused the tree.
-func (t *Tracer) CompileEnd(cycle uint64, ops uint64, bytes int) {
-	if t == nil {
-		return
-	}
-	sp, ok := t.pop()
-	if !ok {
-		return
-	}
-	t.begin("X", sp.name, "memo", sp.start, t.ts(cycle)-sp.start)
-	t.argU("ops", ops)
-	t.argI("bytes", int64(bytes))
-	t.argEnd()
-}
-
 // SnapshotBegin opens a snapshot-IO span; op is "load" or "save".
 func (t *Tracer) SnapshotBegin(op string, cycle uint64) {
 	if t == nil {

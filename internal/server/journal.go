@@ -43,7 +43,8 @@ type journalRec struct {
 	Msg     string   `json:"msg,omitempty"`
 	Digest  string   `json:"digest,omitempty"`
 	// Sum is the FNV-64a hex checksum of the record's JSON encoding with
-	// Sum itself empty; recovery re-derives and compares it.
+	// Sum itself empty; recovery re-derives it from the line as written
+	// (see verify) and compares.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -74,21 +75,23 @@ func (r *journalRec) seal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// verify re-derives the checksum of a decoded record against its Sum.
-func (r *journalRec) verify() bool {
-	want := r.Sum
-	if want == "" {
+// verify checks the record's Sum against line, the bytes it was decoded
+// from. The hash is re-derived from the line as written, minus the trailing
+// `,"sum":"<hex>"` member seal appended, not from a re-encoding of the
+// decoded record: a record sealed by an older build whose JobSpec had a
+// field this build no longer knows must still verify.
+func (r *journalRec) verify(line []byte) bool {
+	if r.Sum == "" {
 		return false
 	}
-	c := *r
-	c.Sum = ""
-	b, err := json.Marshal(&c)
-	if err != nil {
+	body, ok := bytes.CutSuffix(line, []byte(`,"sum":"`+r.Sum+`"}`))
+	if !ok {
 		return false
 	}
 	h := fnv.New64a()
-	h.Write(b) //nolint:errcheck // fnv.Write never fails
-	return fmt.Sprintf("%016x", h.Sum64()) == want
+	h.Write(body)        //nolint:errcheck // fnv.Write never fails
+	h.Write([]byte{'}'}) //nolint:errcheck // fnv.Write never fails
+	return fmt.Sprintf("%016x", h.Sum64()) == r.Sum
 }
 
 // journal is the crash-safe job log. A nil *journal (journaling disabled)
@@ -147,7 +150,7 @@ func readJournal(path string) (recs []journalRec, dropped int, err error) {
 			continue
 		}
 		var r journalRec
-		if json.Unmarshal(line, &r) != nil || !r.verify() {
+		if json.Unmarshal(line, &r) != nil || !r.verify(line) {
 			// Torn tail: count this and everything after it as dropped.
 			dropped = 1
 			for sc.Scan() {

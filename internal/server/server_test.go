@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -514,7 +515,7 @@ func TestJournalRecordChecksum(t *testing.T) {
 	if err := json.Unmarshal(line, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.verify() {
+	if !back.verify(bytes.TrimSpace(line)) {
 		t.Fatal("sealed record failed verify")
 	}
 	corrupted := strings.Replace(string(line), "129.compress", "129.compresz", 1)
@@ -522,8 +523,48 @@ func TestJournalRecordChecksum(t *testing.T) {
 	if err := json.Unmarshal([]byte(corrupted), &bad); err != nil {
 		t.Fatal(err)
 	}
-	if bad.verify() {
+	if bad.verify([]byte(strings.TrimSpace(corrupted))) {
 		t.Fatal("bit-flipped record passed verify")
+	}
+}
+
+// TestJournalRecoversDroppedSpecField: a journal sealed by an older build
+// whose JobSpec still had compile_threshold (removed since) must recover
+// every accepted job. The lines below are verbatim output of that build's
+// seal, so their checksums cover the old encoding; re-marshalling the
+// decoded record would lose the field and fail the checksum, and the
+// torn-tail rule would then drop both jobs.
+func TestJournalRecoversDroppedSpecField(t *testing.T) {
+	const oldJournal = `{"seq":1,"rec":"accept","job":"j000001","job_seq":1,"spec":{"workload":"129.compress","scale":0.02,"compile_threshold":8},"sum":"4d0a65cb9d4d3ffa"}
+{"seq":2,"rec":"accept","job":"j000002","job_seq":2,"spec":{"workload":"130.li","scale":0.02},"sum":"46a902d622929d39"}
+`
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(oldJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, dropped, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || dropped != 0 {
+		t.Fatalf("readJournal: %d records, %d dropped; want 2, 0", len(recs), dropped)
+	}
+	for i, want := range []string{"129.compress", "130.li"} {
+		if r := recs[i]; r.Rec != recAccept || r.Spec == nil || r.Spec.Workload != want {
+			t.Errorf("record %d = %+v, want an accept of %s", i, r, want)
+		}
+	}
+
+	// End to end: a server opened on the journal re-queues and runs both.
+	s := newTestServer(t, Options{JournalPath: path})
+	for _, id := range []string{"j000001", "j000002"} {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost in recovery", id)
+		}
+		if v := mustWait(t, j); v.State != StateDone || !v.Recovered {
+			t.Errorf("recovered job %s = %+v", id, v)
+		}
 	}
 }
 

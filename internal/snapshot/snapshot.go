@@ -43,10 +43,10 @@ var (
 // Stats field sequence; readers reject every other version (no migration —
 // a rejected snapshot is simply rebuilt by the next cold run).
 //
-// v2 added a per-configuration replay-use counter to the configs section
-// (the flat-replay-bytecode warmth hint; compiled buffers themselves are
-// rebuilt on demand, never persisted).
-const Version = 2
+// v2 added a per-configuration replay-use counter to the configs section.
+// v3 removed it again, together with the replay compiler it fed: a config
+// record is now just its key and chain head.
+const Version = 3
 
 // magic identifies a FastSim p-action snapshot file.
 var magic = [8]byte{'F', 'S', 'I', 'M', 'S', 'N', 'A', 'P'}
@@ -261,11 +261,6 @@ func encodeConfigs(g *memo.Graph) []byte {
 		out = binary.AppendUvarint(out, uint64(len(key)))
 		out = append(out, key...)
 		out = appendZigzag(out, g.First[i])
-		var uses uint32
-		if g.Uses != nil {
-			uses = g.Uses[i]
-		}
-		out = binary.AppendUvarint(out, uint64(uses))
 	}
 	return out
 }
@@ -278,18 +273,15 @@ func decodeConfigs(payload []byte, g *memo.Graph) error {
 	}
 	g.Keys = make([]string, 0, n)
 	g.First = make([]int64, 0, n)
-	g.Uses = make([]uint32, 0, n)
 	for i := uint64(0); i < n; i++ {
 		kl := r.uvarint()
 		key := r.bytes(kl)
 		first := r.zigzag()
-		uses := r.uvarint()
-		if r.bad || uses > uint64(^uint32(0)) {
+		if r.bad {
 			return fmt.Errorf("%w: truncated config %d", ErrCorrupt, i)
 		}
 		g.Keys = append(g.Keys, string(key))
 		g.First = append(g.First, first)
-		g.Uses = append(g.Uses, uint32(uses))
 	}
 	if len(r.data) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes in configs section", ErrCorrupt, len(r.data))

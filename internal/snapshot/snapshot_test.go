@@ -21,7 +21,6 @@ func testImage() *Image {
 	g := &img.Graph
 	g.Keys = []string{"\x00aa", "\x01bb", "\x02cc"}
 	g.First = []int64{0, 2, -1}
-	g.Uses = []uint32{5, 0, 2}
 	g.Actions = []memo.GraphAction{
 		{Kind: 0, Cycles: 9, Insts: 4, Loads: 1, Stores: 1, Recs: 2, Next: 1, NextCfg: -1},
 		{Kind: 1, Rel: -3, Next: -1, NextCfg: -1,
@@ -97,15 +96,19 @@ func TestDecodeRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// Both directions of version skew are typed ErrVersion, not corruption:
+// an older build's file (v2 still carried the per-config use counter) and
+// one from a newer build.
 func TestDecodeVersionSkew(t *testing.T) {
-	data := Encode(testImage())
-	// Patch the version field and re-seal the header checksum so version
-	// skew is distinguishable from corruption.
-	binary.LittleEndian.PutUint32(data[8:], Version+1)
-	binary.LittleEndian.PutUint64(data[headerLen-8:], fnv1a(data[:headerLen-8]))
-	_, err := Decode(data, testFP)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	for _, v := range []uint32{Version - 1, Version + 1} {
+		data := Encode(testImage())
+		// Patch the version field and re-seal the header checksum so version
+		// skew is distinguishable from corruption.
+		binary.LittleEndian.PutUint32(data[8:], v)
+		binary.LittleEndian.PutUint64(data[headerLen-8:], fnv1a(data[:headerLen-8]))
+		if _, err := Decode(data, testFP); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 

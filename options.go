@@ -96,10 +96,9 @@ func WithTracer(t *Tracer) Option {
 // trace-event JSON: a Tracer is built with the given timebase when the run
 // starts and closed (terminating the JSON array and flushing) before Run
 // returns, on every path. A close failure on an otherwise successful run
-// surfaces as the run error, so a truncated trace is never silent. Unlike
-// the deprecated WithSpanTrace this is a single composable value — no
-// tracer handle to thread through; use WithSpanTraceInto to also observe
-// the tracer (e.g. its event count) after the run.
+// surfaces as the run error, so a truncated trace is never silent. Use
+// WithSpanTraceInto to also observe the tracer (e.g. its event count)
+// after the run.
 func WithSpanTraceTo(w io.Writer, tb Timebase) Option {
 	return func(c *Config) {
 		c.Tracer = NewTracer(w, TracerOptions{Timebase: tb})
@@ -120,18 +119,6 @@ func WithSpanTraceInto(w io.Writer, tb Timebase, out **Tracer) Option {
 			*out = t
 		}
 	}
-}
-
-// WithSpanTrace is the original two-value span-trace form: it builds a
-// Tracer on w and returns both the option and the tracer, which the caller
-// must Close after the run.
-//
-// Deprecated: use WithSpanTraceTo (run-owned, single value) or
-// WithSpanTraceInto (run-owned with a tracer out-parameter); this form
-// survives for source compatibility only.
-func WithSpanTrace(w io.Writer, tb Timebase) (Option, *Tracer) {
-	t := NewTracer(w, TracerOptions{Timebase: tb})
-	return WithTracer(t), t
 }
 
 // WithMemoGraphDot writes the final p-action graph in Graphviz DOT format
@@ -192,17 +179,6 @@ func WithSnapshotStrict() Option {
 // guard. See docs/ROBUSTNESS.md.
 func WithMemoBudget(n int) Option {
 	return func(c *Config) { c.Memo.Budget = n }
-}
-
-// WithReplayCompile enables flat replay bytecode: once fast-forwarding has
-// entered a p-action chain threshold times, the chain is compiled into a
-// contiguous buffer (actions inline, branch targets as buffer offsets) and
-// replayed by a tight loop with no pointer loads. Results stay bit-identical
-// under every policy — compiled buffers are invalidated whenever their chain
-// changes and rebuilt on demand. threshold 0 disables (the default);
-// 1 compiles on first replay. See docs/API.md and docs/PERFORMANCE.md.
-func WithReplayCompile(threshold int) Option {
-	return func(c *Config) { c.Memo.CompileThreshold = threshold }
 }
 
 // WithShadowVerify re-executes the given fraction of cache hits through the

@@ -63,7 +63,7 @@ func TestOptionsSentinels(t *testing.T) {
 	}
 }
 
-func TestOptionsOrderingAndRunConfig(t *testing.T) {
+func TestOptionsOrderingAndWithConfig(t *testing.T) {
 	prog, err := Assemble("demo.s", demoSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -78,18 +78,26 @@ func TestOptionsOrderingAndRunConfig(t *testing.T) {
 	if res.Memoized {
 		t.Error("later option did not override WithConfig")
 	}
+	// WithConfig replaces the whole struct, so it wins over earlier options.
+	res, err = Run(prog, WithMemoize(false), WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Memoized {
+		t.Error("WithConfig did not override an earlier option")
+	}
 
-	// RunConfig is the struct-based path; results agree with Run.
+	// WithConfig is the struct-based path; results agree with plain Run.
 	viaOpts, err := Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCfg, err := RunConfig(prog, DefaultConfig())
+	viaCfg, err := Run(prog, WithConfig(DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaOpts.Cycles != viaCfg.Cycles {
-		t.Errorf("Run and RunConfig disagree: %d vs %d cycles", viaOpts.Cycles, viaCfg.Cycles)
+		t.Errorf("Run and Run(WithConfig) disagree: %d vs %d cycles", viaOpts.Cycles, viaCfg.Cycles)
 	}
 }
 

@@ -44,8 +44,7 @@ func (s *Snapshot) Actions() int { return len(s.img.Graph.Actions) }
 func (s *Snapshot) Stats() MemoStats { return s.img.Graph.Stats }
 
 // Report digests the snapshot into a SnapshotReport: chain shapes, action
-// kinds, hot chains and warmth hints. topN bounds the hot-chain listing
-// (0 selects 10).
+// kinds and hot chains. topN bounds the hot-chain listing (0 selects 10).
 func (s *Snapshot) Report(topN int) *SnapshotReport {
 	return inspect.AnalyzeSnapshot(s.img, topN)
 }
